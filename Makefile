@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: help test smoke lint deepcheck bench bench-json bench-fleet bench-fleet-sim trace-smoke dashboard-smoke fleet-smoke doctest docs docs-check
+.PHONY: help test smoke lint deepcheck bench bench-json bench-fleet bench-fleet-sim perf-selftest trace-smoke dashboard-smoke fleet-smoke doctest docs docs-check
 
 help:       ## list targets with their one-line descriptions
 	@awk -F':.*##' '/^[a-z-]+:.*##/ {printf "  %-12s %s\n", $$1, $$2}' $(MAKEFILE_LIST)
@@ -39,6 +39,9 @@ bench-fleet: ## batched rack sweep vs scalar loop only (writes BENCH_FLEET.json)
 
 bench-fleet-sim: ## event-loop fleet campaign gate only (writes BENCH_FLEETSIM.json)
 	$(PYTHON) tools/bench_json.py --quick --only fleetsim --out BENCH_FLEETSIM.json
+
+perf-selftest: ## benchmark self-test: every workload at tiny size, probe boundaries intact
+	$(PYTHON) perfbench/selftest.py
 
 trace-smoke: ## tiny traced sweep + trace schema validation
 	$(PYTHON) -m repro.cli figure2 --runtime 0.2 --seed 7 \

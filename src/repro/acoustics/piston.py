@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import j1
-
 from repro.errors import UnitError
 
 __all__ = ["CircularPiston"]
@@ -75,6 +73,10 @@ class CircularPiston:
         x = self.wavenumber(frequency_hz) * self.radius_m * math.sin(angle_rad)
         if abs(x) < 1e-9:
             return 1.0
+        # Imported here: scipy.special costs a quarter second to load and
+        # nothing else in the package needs it.
+        from scipy.special import j1
+
         return abs(2.0 * float(j1(x)) / x)
 
     def beamwidth_deg(self, frequency_hz: float) -> float:

@@ -19,7 +19,7 @@ bit-identical results either way, enforced by the fleet parity suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import perf, vecphys
@@ -432,6 +432,15 @@ _RAID_LEVELS: Dict[str, Optional[RaidLevel]] = {
 _RAID_MINIMUM = {RaidLevel.RAID0: 2, RaidLevel.RAID1: 2, RaidLevel.RAID5: 3}
 
 
+def _require_finite(spec: object) -> None:
+    """Reject NaN and infinite numeric fields of a spec dataclass up
+    front, before any range check silently lets them through."""
+    for field in fields(spec):
+        value = getattr(spec, field.name)
+        if isinstance(value, (int, float)) and not math.isfinite(value):
+            raise ConfigurationError(f"{field.name} must be finite: {value!r}")
+
+
 @dataclass(frozen=True)
 class AttackWindow:
     """One scheduled acoustic attack: a tone held for a time window.
@@ -450,6 +459,7 @@ class AttackWindow:
     distance_m: float = 0.12
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.start_s < 0.0:
             raise ConfigurationError(f"attack start must be >= 0: {self.start_s}")
         if self.duration_s <= 0.0:
@@ -539,6 +549,7 @@ class FleetSpec:
     attacks: Tuple[AttackWindow, ...] = (AttackWindow(start_s=10.0, duration_s=30.0),)
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.racks < 1 or self.towers_per_rack < 1:
             raise ConfigurationError(
                 f"need at least one rack and tower: {self.racks}x{self.towers_per_rack}"
@@ -665,14 +676,20 @@ class FleetRack:
     """One rack of towers as an actor group on the event scheduler.
 
     Physics is computed **once per (source, rack) geometry**: every
-    tower shares the same wall and water column, so attack edges
-    evaluate the batched kernels on the reference tower (tower 0) and
-    broadcast the per-bay vibrations to every other tower's drives —
-    the fleet-scale version of the rack batching in
-    docs/ARCHITECTURE.md.  Randomness comes exclusively from streams
-    forked off ``scheduler.rng_for(f"rack{index}")`` by label, so the
-    rack's behaviour is independent of which other racks share the
-    scheduler.
+    tower shares the same wall and water column, so only the reference
+    tower (tower 0) is built as a :class:`DriveRack` and evaluates the
+    batched kernels at attack edges.  The other towers never serve I/O
+    through drives (the service model draws from the reference tower's
+    per-bay probabilities), so they exist only as their per-tower
+    :class:`RaidGroup` — the state in which common-mode failure
+    compounds across the rack.  Randomness comes exclusively from
+    streams forked off ``scheduler.rng_for(f"rack{index}")`` by label,
+    so the rack's behaviour is independent of which other racks share
+    the scheduler.
+
+    Overlapping attack windows do not replace each other: the rack
+    keeps the set of active windows and every edge applies the dominant
+    one (docs/SIMULATION.md).
     """
 
     def __init__(self, spec: FleetSpec, index: int, scheduler: EventScheduler) -> None:
@@ -684,25 +701,23 @@ class FleetRack:
         self.scheduler = scheduler
         rng = scheduler.rng_for(self.name)
         self._service_rng = rng.fork("service")
-        env = UnderwaterEnvironment.tank()
-        self.towers: List[DriveRack] = []
-        for tower in range(spec.towers_per_rack):
-            drive_rack = DriveRack(
-                bays=spec.bays,
-                environment=env,
-                clock=scheduler.clock,
-                rng=rng.fork(f"tower{tower}"),
-                metal=spec.metal,
-            )
-            # The reference tower carries the rack's name so its
-            # attack.on/off tracer instants and health rollups read as
-            # rack-level signals.
-            drive_rack.name = self.name if tower == 0 else f"{self.name}/t{tower}"
-            self.towers.append(drive_rack)
+        #: Tower 0: the tower whose physics stands in for the rack.  It
+        #: carries the rack's name so its attack.on/off tracer instants
+        #: and health rollups read as rack-level signals.
+        self.reference = DriveRack(
+            bays=spec.bays,
+            environment=UnderwaterEnvironment.tank(),
+            clock=scheduler.clock,
+            rng=rng.fork("tower0"),
+            metal=spec.metal,
+        )
+        self.reference.name = self.name
         self.groups: List[RaidGroup] = [
             RaidGroup(spec.raid_level, spec.bays, name=f"{self.name}/g{tower}")
             for tower in range(spec.towers_per_rack)
         ]
+        self._active: List[AttackWindow] = []
+        self._severity: Dict[AttackWindow, float] = {}
         self._p_write: Dict[int, float] = {bay: 1.0 for bay in range(spec.bays)}
         self._p_read: Dict[int, float] = {bay: 1.0 for bay in range(spec.bays)}
         self._ops_acc = 0.0
@@ -718,30 +733,34 @@ class FleetRack:
         self.events = 0
         self.tracker: Optional[HealthTracker] = None
 
-    @property
-    def reference(self) -> DriveRack:
-        """Tower 0: the tower whose physics stands in for the rack."""
-        return self.towers[0]
-
     # -- attack edges (LANE_ATTACK) -----------------------------------
 
     def attack_on(self, window: AttackWindow) -> None:
-        """Start ``window``'s tone: evaluate physics once, broadcast."""
-        self.events += 1
-        vibrations = self.reference.apply_attack(window.config())
-        for tower in self.towers[1:]:
-            for slot in tower.slots:
-                slot.drive.set_vibration(vibrations[slot.bay])
-        self._refresh_probabilities()
+        """Start ``window``'s tone and apply the dominant active window.
 
-    def attack_off(self) -> None:
-        """Silence the attack and queue rebuilds for recovered bays."""
+        The new window's field is evaluated once, which also rates its
+        severity; a more severe window that is already active is then
+        re-applied, so a nested harmless tone cannot mask an attack.
+        """
         self.events += 1
-        self.reference.apply_attack(None)
-        for tower in self.towers[1:]:
-            for slot in tower.slots:
-                slot.drive.set_vibration(None)
-        self._refresh_probabilities()
+        self.reference.apply_attack(window.config())
+        p_write = self.reference.write_success_probabilities()
+        self._severity[window] = min(p_write[bay] for bay in sorted(p_write))
+        self._active.append(window)
+        dominant = self._dominant()
+        if dominant != window:
+            self.reference.apply_attack(dominant.config())
+            p_write = self.reference.write_success_probabilities()
+        self._refresh_probabilities(p_write)
+
+    def attack_off(self, window: AttackWindow) -> None:
+        """End ``window``'s tone, fall back to the dominant remaining
+        window (or silence), and queue rebuilds for recovered bays."""
+        self.events += 1
+        self._active.remove(window)
+        dominant = self._dominant()
+        self.reference.apply_attack(dominant.config() if dominant is not None else None)
+        self._refresh_probabilities(self.reference.write_success_probabilities())
         to_rebuild = tuple(
             (tower, bay)
             for tower, group in enumerate(self.groups)
@@ -756,13 +775,25 @@ class FleetRack:
                 lane=LANE_REPAIR,
             )
 
-    def _refresh_probabilities(self) -> None:
-        """Re-sample per-bay success probabilities and update RAID state."""
-        self._p_write = self.reference.write_success_probabilities()
+    def _dominant(self) -> Optional[AttackWindow]:
+        """The active window with the lowest minimum write success
+        across bays; ties go to the earliest start, then spec order."""
+        if not self._active:
+            return None
+        order = self.spec.attacks
+        return min(
+            self._active,
+            key=lambda w: (self._severity[w], w.start_s, order.index(w)),
+        )
+
+    def _refresh_probabilities(self, p_write: Dict[int, float]) -> None:
+        """Adopt the applied field's per-bay success probabilities and
+        update RAID state."""
+        self._p_write = p_write
         self._p_read = self.reference.read_success_probabilities()
-        stalled = [bay for bay in sorted(self._p_write) if self._p_write[bay] <= 0.0]
+        stalled = [bay for bay in sorted(p_write) if p_write[bay] <= 0.0]
         self.stalled_bays_peak = max(self.stalled_bays_peak, len(stalled))
-        low = min(self._p_write[bay] for bay in sorted(self._p_write))
+        low = min(p_write[bay] for bay in sorted(p_write))
         self.p_write_min = min(self.p_write_min, low)
         now = self.scheduler.now
         for group in self.groups:
@@ -791,51 +822,70 @@ class FleetRack:
         """
         self.events += 1
         spec = self.spec
-        now = self.scheduler.now
         self._ops_acc += spec.request_rate_hz * spec.service_tick_s
         n = int(self._ops_acc)
         self._ops_acc -= n
         if n == 0:
             return
+        now = self.scheduler.now
         tel = obs.get()
-        served = errors = 0
-        for _ in range(n):
-            counter = self._op_counter
-            self._op_counter += 1
-            tower = counter % len(self.towers)
-            bay = (counter // len(self.towers)) % spec.bays
-            is_write = self._service_rng.random() < spec.write_fraction
-            p = self._p_write[bay] if is_write else self._p_read[bay]
-            group = self.groups[tower]
-            latency = None
-            if p <= 0.0:
-                if group.online and group.degraded:
-                    # Redundancy absorbs the stalled member: serve the op
-                    # through reconstruction across the surviving bays.
-                    latency = spec.base_latency_s * spec.bays
-                    self.ops_degraded += 1
-            elif p >= 1.0:
-                latency = spec.base_latency_s
+        towers = spec.towers_per_rack
+        bays = spec.bays
+        write_fraction = spec.write_fraction
+        base_latency_s = spec.base_latency_s
+        degraded_latency_s = base_latency_s * bays
+        max_attempts = spec.max_attempts
+        p_write = [self._p_write[bay] for bay in range(bays)]
+        p_read = [self._p_read[bay] for bay in range(bays)]
+        groups = self.groups
+        random = self._service_rng.random
+        log = math.log
+        latencies: Optional[List[float]] = [] if tel is not None else None
+        served = errors = degraded = 0
+        latency_sum_s = self.latency_sum_s
+        latency_max_s = self.latency_max_s
+        first = self._op_counter
+        self._op_counter = first + n
+        for counter in range(first, first + n):
+            bay = (counter // towers) % bays
+            p = p_write[bay] if random() < write_fraction else p_read[bay]
+            if p >= 1.0:
+                latency = base_latency_s
+            elif p <= 0.0:
+                group = groups[counter % towers]
+                if not (group.online and group.degraded):
+                    errors += 1
+                    continue
+                # Redundancy absorbs the stalled member: serve the op
+                # through reconstruction across the surviving bays.
+                latency = degraded_latency_s
+                degraded += 1
             else:
-                u = self._service_rng.random()
-                attempts = 1 + int(math.log(1.0 - u) / math.log(1.0 - p))
-                if attempts <= spec.max_attempts:
-                    latency = spec.base_latency_s * attempts
-            if latency is None:
-                self.ops_error += 1
-                errors += 1
-            else:
-                self.ops_ok += 1
-                served += 1
-                self.latency_sum_s += latency
-                self.latency_max_s = max(self.latency_max_s, latency)
-                if tel is not None:
-                    tel.series.series(
-                        "service/latency", kind="hist", bounds=SERVICE_LATENCY_BOUNDS_S
-                    ).observe(now, latency)
+                attempts = 1 + int(log(1.0 - random()) / log(1.0 - p))
+                if attempts > max_attempts:
+                    errors += 1
+                    continue
+                latency = base_latency_s * attempts
+            served += 1
+            latency_sum_s += latency
+            if latency > latency_max_s:
+                latency_max_s = latency
+            if latencies is not None:
+                latencies.append(latency)
+        self.ops_ok += served
+        self.ops_error += errors
+        self.ops_degraded += degraded
+        self.latency_sum_s = latency_sum_s
+        self.latency_max_s = latency_max_s
         if served == 0:
             self.downtime_s += spec.service_tick_s
         if tel is not None:
+            if latencies:
+                observe = tel.series.series(
+                    "service/latency", kind="hist", bounds=SERVICE_LATENCY_BOUNDS_S
+                ).observe
+                for latency in latencies:
+                    observe(now, latency)
             if served:
                 tel.series.record("service/ops_ok", now, float(served))
             if errors:
@@ -868,8 +918,8 @@ class FleetRack:
             group.finalize(t_s)
         return RackOutcome(
             rack=self.index,
-            towers=len(self.towers),
-            drives=len(self.towers) * self.spec.bays,
+            towers=self.spec.towers_per_rack,
+            drives=self.spec.towers_per_rack * self.spec.bays,
             ops_ok=self.ops_ok,
             ops_degraded=self.ops_degraded,
             ops_error=self.ops_error,
@@ -943,7 +993,7 @@ class FleetSim:
                 )
                 self.scheduler.schedule_at(
                     window.end_s,
-                    rack.attack_off,
+                    lambda rack=rack, window=window: rack.attack_off(window),
                     label=f"{rack.name}.attack.off",
                     lane=LANE_ATTACK,
                 )

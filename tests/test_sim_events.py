@@ -13,6 +13,8 @@ The contract under test (docs/SIMULATION.md, docs/FLEET.md):
   139 dB attack window.
 """
 
+import math
+
 import pytest
 
 from repro import obs
@@ -191,7 +193,19 @@ class TestFleetSpecValidation:
         assert defaults.source_level_db == 139.0
 
     @pytest.mark.parametrize(
-        "text", ["", "10@650", "10+30", "10+30@650/139/0.1/extra", "x+y@z"]
+        "text",
+        [
+            "",
+            "10@650",
+            "10+30",
+            "10+30@650/139/0.1/extra",
+            "x+y@z",
+            "nan+1@650",
+            "1+inf@650",
+            "1+1@nan",
+            "1+1@650/139/nan",
+            "1+1@650/139/inf",
+        ],
     )
     def test_attack_window_grammar_rejects(self, text):
         with pytest.raises(ConfigurationError):
@@ -208,6 +222,13 @@ class TestFleetSpecValidation:
             FleetSpec(raid="raid5", bays=2)
         with pytest.raises(ConfigurationError):
             FleetSpec(duration_s=10.0, service_tick_s=0.3)  # not a whole tick count
+        for non_finite in (
+            {"request_rate_hz": math.inf},
+            {"rebuild_s": math.nan},
+            {"duration_s": math.nan},
+        ):
+            with pytest.raises(ConfigurationError):
+                FleetSpec(**non_finite)
 
     def test_drive_count(self):
         assert FleetSpec().drive_count == 4 * 50 * 5
@@ -306,6 +327,49 @@ class TestFleetRaidAccounting:
         for outcome in result.outcomes:
             assert outcome.ops == expected
             assert outcome.ops_ok + outcome.ops_error == expected
+
+
+class TestOverlappingAttackWindows:
+    """Overlapping windows apply the dominant tone, not the last edge."""
+
+    ATTACK = AttackWindow.parse("1+5@650")
+
+    @staticmethod
+    def _run(*attacks, rebuild_s=10.0):
+        spec = FleetSpec(
+            racks=1,
+            towers_per_rack=5,
+            duration_s=8.0,
+            rebuild_s=rebuild_s,
+            attacks=attacks,
+        )
+        return FleetSim(spec).run().outcomes[0]
+
+    def test_nested_harmless_tone_does_not_mask_the_attack(self):
+        alone = self._run(self.ATTACK)
+        nested = self._run(self.ATTACK, AttackWindow.parse("2+1@8000/120"))
+        assert alone.ops_error > 0
+        for field in ("ops_ok", "ops_error", "degraded_s"):
+            assert getattr(nested, field) == getattr(alone, field)
+
+    def test_nested_stronger_tone_takes_over_and_hands_back(self):
+        # A 5 cm tone nested at t=2..3 must behave like the attack cut in
+        # three back-to-back windows: 12 cm, 5 cm, then 12 cm again.
+        nested = self._run(
+            self.ATTACK, AttackWindow.parse("2+1@650/139/0.05"), rebuild_s=1.0
+        )
+        spliced = self._run(
+            AttackWindow.parse("1+1@650"),
+            AttackWindow.parse("2+1@650/139/0.05"),
+            AttackWindow.parse("3+3@650"),
+            rebuild_s=1.0,
+        )
+        assert nested.p_write_min == 0.0 and nested.rebuilds > 0
+        expected = spliced.to_payload()
+        del expected["events"]
+        actual = nested.to_payload()
+        del actual["events"]
+        assert actual == expected
 
 
 @pytest.mark.slow
