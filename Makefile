@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: help test smoke lint deepcheck bench bench-json bench-fleet bench-fleet-sim perf-selftest trace-smoke dashboard-smoke fleet-smoke doctest docs docs-check
+.PHONY: help test smoke lint deepcheck bench bench-json bench-fleet bench-fleet-sim perf-selftest kv-smoke trace-smoke dashboard-smoke fleet-smoke doctest docs docs-check
 
 help:       ## list targets with their one-line descriptions
 	@awk -F':.*##' '/^[a-z-]+:.*##/ {printf "  %-12s %s\n", $$1, $$2}' $(MAKEFILE_LIST)
@@ -42,6 +42,14 @@ bench-fleet-sim: ## event-loop fleet campaign gate only (writes BENCH_FLEETSIM.j
 
 perf-selftest: ## benchmark self-test: every workload at tiny size, probe boundaries intact
 	$(PYTHON) perfbench/selftest.py
+
+kv-smoke:   ## table2 --duration 0.7 --seed 1 stdout must match its perfbench/golden.json digest
+	$(PYTHON) -m repro.cli table2 --duration 0.7 --seed 1 > kv-smoke.txt
+	$(PYTHON) -c 'import hashlib, json, sys; \
+	want = json.load(open("perfbench/golden.json"))["entries"]["table2 --duration 0.7"]["1"]["sha256"]; \
+	got = hashlib.sha256(open("kv-smoke.txt", "rb").read()).hexdigest(); \
+	print("kv-smoke: table2 stdout sha256", got); \
+	sys.exit(got != want and f"kv-smoke: expected {want} (perfbench/golden.json)")'
 
 trace-smoke: ## tiny traced sweep + trace schema validation
 	$(PYTHON) -m repro.cli figure2 --runtime 0.2 --seed 7 \

@@ -591,6 +591,12 @@ class FleetSpec:
             )
         if self.max_attempts < 1:
             raise ConfigurationError(f"max attempts must be >= 1: {self.max_attempts}")
+        for window in self.attacks:
+            if window.start_s >= self.duration_s:
+                raise ConfigurationError(
+                    f"attack at {window.start_s}s starts at or after the "
+                    f"{self.duration_s}s campaign end"
+                )
 
     @property
     def raid_level(self) -> Optional[RaidLevel]:

@@ -2,13 +2,14 @@
 
 Implements the pieces the paper's RocksDB victim exercises: a CRC'd
 write-ahead log whose sync failure is fatal (the
-``sync_without_flush`` crash of Table 3), a skiplist memtable, bloom-
-filtered SSTables, a manifest/version set, and leveled compaction.
+``sync_without_flush`` crash of Table 3), a hash memtable sorted once
+at flush (point reads and writes cost one dict lookup, which is what
+``readwhilewriting`` spends its time on), bloom-filtered SSTables, a
+manifest/version set, and leveled compaction.
 ``db_bench``-style workloads live in :mod:`repro.workloads.db_bench`.
 """
 
 from .bloom import BloomFilter
-from .skiplist import SkipList
 from .memtable import MemTable
 from .wal import WALReader, WALWriter
 from .sstable import SSTableBuilder, SSTableReader
@@ -18,7 +19,6 @@ from .db import DB, Options, Snapshot, WriteBatch
 
 __all__ = [
     "BloomFilter",
-    "SkipList",
     "MemTable",
     "WALWriter",
     "WALReader",

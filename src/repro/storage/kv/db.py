@@ -14,8 +14,8 @@ signature) and refuses further writes.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     ConfigurationError,
@@ -36,6 +36,11 @@ from .wal import WALReader, WALWriter
 __all__ = ["Options", "WriteBatch", "Snapshot", "DB"]
 
 _OP = struct.Struct("<BII")
+
+
+def _encode_op(kind: int, key: bytes, value: bytes) -> bytes:
+    """One WAL batch op: [kind u8][klen u32][vlen u32][key][value]."""
+    return _OP.pack(kind, len(key), len(value)) + key + value
 
 
 @dataclass
@@ -98,12 +103,7 @@ class WriteBatch:
 
     def encode(self) -> bytes:
         """WAL payload of the batch."""
-        parts = []
-        for kind, key, value in self.ops:
-            parts.append(_OP.pack(kind, len(key), len(value)))
-            parts.append(key)
-            parts.append(value)
-        return b"".join(parts)
+        return b"".join(_encode_op(kind, key, value) for kind, key, value in self.ops)
 
     @staticmethod
     def decode(payload: bytes) -> "WriteBatch":
@@ -165,7 +165,7 @@ class DB:
             target_file_bytes=self.options.target_file_bytes,
             live_snapshots=lambda: list(self._live_snapshots),
         )
-        self.memtable = MemTable(self.rng.fork("memtable"))
+        self.memtable = MemTable()
         self.wal: Optional[WALWriter] = None
         self.stats = DBStats()
         self.closed = False
@@ -261,45 +261,52 @@ class DB:
         """The shared virtual clock."""
         return self.fs.device.clock
 
-    def _charge(self, seconds: float) -> None:
-        if seconds > 0.0:
-            self.clock.advance(seconds)
-
     # -- write path --------------------------------------------------------------
 
     def write(self, batch: WriteBatch, sync: Optional[bool] = None) -> None:
         """Apply a batch atomically (WAL first, then memtable)."""
         self._check_usable()
-        if not batch.ops:
-            return
-        self._charge(self.options.cpu_put_s * len(batch.ops))
-        use_sync = self.options.sync_writes if sync is None else sync
+        if batch.ops:
+            self._apply(batch.ops, batch.encode(), sync)
+
+    def put(self, key: bytes, value: bytes, sync: Optional[bool] = None) -> None:
+        """Insert or overwrite one key."""
+        if self.closed or self.fatal_error is not None:
+            self._check_usable()
+        self._apply(((VALUE, key, value),), _encode_op(VALUE, key, value), sync)
+
+    def delete(self, key: bytes, sync: Optional[bool] = None) -> None:
+        """Delete one key."""
+        self.write(WriteBatch().delete(key), sync=sync)
+
+    def _apply(
+        self, ops: Sequence[Tuple[int, bytes, bytes]], payload: bytes, sync: Optional[bool]
+    ) -> None:
+        """Log ``payload`` (the encoded ``ops``) to the WAL, then apply ``ops``."""
+        options = self.options
+        cpu = options.cpu_put_s * len(ops)
+        if cpu > 0.0:
+            self.fs.device.clock.advance(cpu)
+        use_sync = options.sync_writes if sync is None else sync
         try:
-            due = self.wal.append(batch.encode())
+            due = self.wal.append(payload)
             if use_sync or due:
                 self.wal.sync()
                 self.stats.wal_syncs += 1
         except WALSyncError as err:
             self.fatal_error = err
             raise
-        for kind, key, value in batch.ops:
-            self.versions.last_sequence += 1
-            self.memtable.add(self.versions.last_sequence, kind, key, value)
-            self.stats.bytes_written += len(key) + len(value)
+        versions, memtable, stats = self.versions, self.memtable, self.stats
+        for kind, key, value in ops:
+            versions.last_sequence += 1
+            memtable.add(versions.last_sequence, kind, key, value)
+            stats.bytes_written += len(key) + len(value)
             if kind == VALUE:
-                self.stats.puts += 1
+                stats.puts += 1
             else:
-                self.stats.deletes += 1
-        if self.memtable.approximate_bytes >= self.options.write_buffer_size:
+                stats.deletes += 1
+        if memtable.approximate_bytes >= options.write_buffer_size:
             self.flush()
-
-    def put(self, key: bytes, value: bytes, sync: Optional[bool] = None) -> None:
-        """Insert or overwrite one key."""
-        self.write(WriteBatch().put(key, value), sync=sync)
-
-    def delete(self, key: bytes, sync: Optional[bool] = None) -> None:
-        """Delete one key."""
-        self.write(WriteBatch().delete(key), sync=sync)
 
     # -- flush -------------------------------------------------------------------
 
@@ -334,7 +341,7 @@ class DB:
             self.fs, self.versions.table_path(number), blob=builder.final_blob
         )
         self.versions.log_and_apply(VersionEdit(added=[meta]))
-        self.memtable = MemTable(self.rng.fork(f"memtable/{number}"))
+        self.memtable = MemTable()
         self._rotate_wal()
         self.stats.flushes += 1
         if tel is not None:
@@ -386,14 +393,31 @@ class DB:
         ``snapshot`` may be a :class:`Snapshot` or a raw sequence
         number; only pinned snapshots survive compaction reliably.
         """
-        snapshot = self._resolve_snapshot(snapshot)
-        self._check_usable()
-        self._charge(self.options.cpu_get_s)
-        self.stats.gets += 1
+        if snapshot is not None:
+            snapshot = self._resolve_snapshot(snapshot)
+        if self.closed or self.fatal_error is not None:
+            self._check_usable()
+        cpu = self.options.cpu_get_s
+        if cpu > 0.0:
+            self.fs.device.clock.advance(cpu)
+        stats = self.stats
+        stats.gets += 1
         found = self.memtable.get(key, snapshot)
         if found is not None:
             kind, value = found
-            return self._resolve(kind, value)
+        else:
+            hit = self._table_get(key, snapshot)
+            if hit is None:
+                return None
+            _, kind, value = hit
+        if kind == TOMBSTONE:
+            return None
+        stats.get_hits += 1
+        stats.bytes_read += len(value)
+        return value
+
+    def _table_get(self, key: bytes, snapshot: Optional[int]) -> Optional[Tuple[int, int, bytes]]:
+        """Newest (sequence, kind, value) for ``key`` in the SSTables."""
         # L0 files may overlap: the newest sequence among them wins.
         best: Optional[Tuple[int, int, bytes]] = None
         for meta in self.versions.files_at(0):
@@ -401,22 +425,15 @@ class DB:
             if hit is not None and (best is None or hit[0] > best[0]):
                 best = hit
         if best is not None:
-            return self._resolve(best[1], best[2])
+            return best
         for level in range(1, len(self.versions.levels)):
             for meta in self.versions.files_at(level):
                 if meta.smallest <= key <= meta.largest:
                     hit = self._reader(meta).get(key, snapshot)
                     if hit is not None:
-                        return self._resolve(hit[1], hit[2])
+                        return hit
                     break  # disjoint ranges: no other file on this level has it
         return None
-
-    def _resolve(self, kind: int, value: bytes) -> Optional[bytes]:
-        if kind == TOMBSTONE:
-            return None
-        self.stats.get_hits += 1
-        self.stats.bytes_read += len(value)
-        return value
 
     # -- iteration ---------------------------------------------------------------------
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass
+from bisect import bisect_right
 from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, CorruptionError
@@ -32,6 +32,7 @@ from .memtable import TOMBSTONE, VALUE
 __all__ = ["SSTableBuilder", "SSTableReader"]
 
 _ENTRY = struct.Struct("<II")
+_HEADER = _ENTRY.size + 8  # lengths, then 7-byte sequence and kind byte
 _MAGIC = b"reproSST1"
 _FOOTER_SIZE = 512
 _TARGET_BLOCK = 4096
@@ -161,10 +162,9 @@ class SSTableReader:
             raise CorruptionError(f"{path}: body CRC mismatch")
         self._data = body[: footer["data_len"]]
         index_raw = body[footer["index_off"] : footer["index_off"] + footer["index_len"]]
-        self._index = [
-            (bytes.fromhex(first), off, length)
-            for first, off, length in json.loads(index_raw.decode())
-        ]
+        index = json.loads(index_raw.decode())
+        self._first_keys = [bytes.fromhex(first) for first, _, _ in index]
+        self._blocks = [(off, length) for _, off, length in index]
         bloom_raw = body[footer["bloom_off"] : footer["bloom_off"] + footer["bloom_len"]]
         self._bloom = BloomFilter.from_bytes(bloom_raw)
         self.entries = int(footer["entries"])
@@ -172,20 +172,16 @@ class SSTableReader:
         self.largest = bytes.fromhex(footer["largest"])
 
     def _block_for(self, key: bytes) -> Optional[Tuple[int, int]]:
-        lo, hi = 0, len(self._index) - 1
-        best: Optional[Tuple[int, int]] = None
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            first, off, length = self._index[mid]
-            if first <= key:
-                best = (off, length)
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        return best
+        index = bisect_right(self._first_keys, key) - 1
+        return self._blocks[index] if index >= 0 else None
 
     def get(self, key: bytes, snapshot: Optional[int] = None) -> Optional[Tuple[int, int, bytes]]:
-        """Newest (sequence, kind, value) for ``key`` visible at snapshot."""
+        """Newest (sequence, kind, value) for ``key`` visible at snapshot.
+
+        Entries the scan passes over are not decoded: only their key
+        slice is compared, and the sequence, kind and value are read on
+        a match.
+        """
         if key < self.smallest or key > self.largest:
             return None
         if not self._bloom.may_contain(key):
@@ -195,17 +191,23 @@ class SSTableReader:
             return None
         offset, length = block
         end = offset + length
+        data = self._data
+        unpack = _ENTRY.unpack_from
         best: Optional[Tuple[int, int, bytes]] = None
         while offset < end:
-            entry_key, sequence, kind, value, offset = _decode_entry(self._data, offset)
+            klen, vlen = unpack(data, offset)
+            start = offset + _HEADER
+            offset = start + klen + vlen
+            entry_key = data[start : start + klen]
             if entry_key != key:
                 if entry_key > key:
                     break
                 continue
+            sequence = int.from_bytes(data[start - 8 : start - 1], "little")
             if snapshot is not None and sequence > snapshot:
                 continue
             if best is None or sequence > best[0]:
-                best = (sequence, kind, value)
+                best = (sequence, data[start - 1], data[start + klen : offset])
         return best
 
     def iterate(self) -> Iterator[Tuple[bytes, int, int, bytes]]:

@@ -1,72 +1,10 @@
-"""Skiplist, bloom filter, memtable."""
+"""Bloom filter, memtable."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.rng import make_rng
 from repro.storage.kv.bloom import BloomFilter
-from repro.storage.kv.memtable import TOMBSTONE, VALUE, MemTable, decode_internal_key, encode_internal_key
-from repro.storage.kv.skiplist import SkipList
-
-
-class TestSkipList:
-    def test_insert_get(self):
-        sl = SkipList(make_rng(1).fork("sl"))
-        sl.insert(b"b", 2)
-        sl.insert(b"a", 1)
-        assert sl.get(b"a") == 1
-        assert sl.get(b"b") == 2
-        assert sl.get(b"c") is None
-
-    def test_replace_keeps_size(self):
-        sl = SkipList(make_rng(1).fork("sl"))
-        sl.insert(b"k", 1)
-        sl.insert(b"k", 2)
-        assert len(sl) == 1
-        assert sl.get(b"k") == 2
-
-    def test_sorted_iteration(self):
-        sl = SkipList(make_rng(2).fork("sl"))
-        keys = [f"{i:03d}".encode() for i in range(100)]
-        import random
-
-        shuffled = list(keys)
-        random.Random(0).shuffle(shuffled)
-        for key in shuffled:
-            sl.insert(key, key)
-        assert [k for k, _ in sl.items()] == keys
-
-    def test_items_from_starts_at_bound(self):
-        sl = SkipList(make_rng(3).fork("sl"))
-        for i in range(10):
-            sl.insert(f"{i}".encode(), i)
-        assert [k for k, _ in sl.items_from(b"5")] == [b"5", b"6", b"7", b"8", b"9"]
-
-    def test_delete(self):
-        sl = SkipList(make_rng(4).fork("sl"))
-        sl.insert(b"x", 1)
-        assert sl.delete(b"x") is True
-        assert sl.delete(b"x") is False
-        assert sl.get(b"x") is None
-        assert len(sl) == 0
-
-    def test_first_last_keys(self):
-        sl = SkipList(make_rng(5).fork("sl"))
-        assert sl.first_key() is None
-        for key in (b"m", b"a", b"z"):
-            sl.insert(key, None)
-        assert sl.first_key() == b"a"
-        assert sl.last_key() == b"z"
-
-    def test_non_bytes_keys_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SkipList().insert("string", 1)
-
-    def test_contains(self):
-        sl = SkipList(make_rng(6).fork("sl"))
-        sl.insert(b"k", 0)
-        assert b"k" in sl
-        assert b"other" not in sl
+from repro.storage.kv.memtable import TOMBSTONE, VALUE, MemTable
 
 
 class TestBloom:
@@ -103,63 +41,45 @@ class TestBloom:
             BloomFilter.from_bytes(b"xx")
 
 
-class TestInternalKeys:
-    def test_roundtrip(self):
-        internal = encode_internal_key(b"user", 12345)
-        assert decode_internal_key(internal) == (b"user", 12345)
-
-    def test_newer_sequences_sort_first(self):
-        older = encode_internal_key(b"k", 10)
-        newer = encode_internal_key(b"k", 20)
-        assert newer < older
-
-    def test_user_key_order_dominates(self):
-        assert encode_internal_key(b"a", 1) < encode_internal_key(b"b", 999)
-
-    def test_sequence_bounds(self):
-        with pytest.raises(ConfigurationError):
-            encode_internal_key(b"k", -1)
-
-
 class TestMemTable:
     def test_put_get(self):
-        table = MemTable(make_rng(1).fork("mt"))
+        table = MemTable()
         table.add(1, VALUE, b"k", b"v1")
         assert table.get(b"k") == (VALUE, b"v1")
 
     def test_newest_wins(self):
-        table = MemTable(make_rng(1).fork("mt"))
+        table = MemTable()
         table.add(1, VALUE, b"k", b"v1")
         table.add(2, VALUE, b"k", b"v2")
         assert table.get(b"k") == (VALUE, b"v2")
 
     def test_snapshot_reads_see_the_past(self):
-        table = MemTable(make_rng(1).fork("mt"))
+        table = MemTable()
         table.add(1, VALUE, b"k", b"v1")
         table.add(5, VALUE, b"k", b"v5")
         assert table.get(b"k", snapshot=3) == (VALUE, b"v1")
         assert table.get(b"k", snapshot=5) == (VALUE, b"v5")
 
     def test_tombstone_visible_as_delete(self):
-        table = MemTable(make_rng(1).fork("mt"))
+        table = MemTable()
         table.add(1, VALUE, b"k", b"v")
         table.add(2, TOMBSTONE, b"k")
         kind, _ = table.get(b"k")
         assert kind == TOMBSTONE
 
     def test_missing_key_is_none(self):
-        table = MemTable(make_rng(1).fork("mt"))
+        table = MemTable()
         table.add(1, VALUE, b"a", b"v")
         assert table.get(b"b") is None
 
     def test_byte_accounting_grows(self):
-        table = MemTable(make_rng(1).fork("mt"))
+        table = MemTable()
         before = table.approximate_bytes
         table.add(1, VALUE, b"key", b"x" * 100)
         assert table.approximate_bytes > before + 100
 
     def test_iterate_is_internal_key_sorted(self):
-        table = MemTable(make_rng(1).fork("mt"))
+        table = MemTable()
         table.add(1, VALUE, b"b", b"1")
         table.add(2, VALUE, b"a", b"2")
         table.add(3, VALUE, b"a", b"3")
@@ -167,3 +87,53 @@ class TestMemTable:
         assert [e[0] for e in entries] == [b"a", b"a", b"b"]
         # Within key "a": newest (seq 3) first.
         assert entries[0][1] == 3
+
+    def test_iterate_orders_keys_before_sequences(self):
+        table = MemTable()
+        table.add(999, VALUE, b"a", b"1")
+        table.add(1, VALUE, b"b", b"2")
+        assert [e[0] for e in table.iterate()] == [b"a", b"b"]
+
+    def test_out_of_order_add_lands_by_sequence(self):
+        table = MemTable()
+        table.add(20, VALUE, b"k", b"v20")
+        table.add(10, VALUE, b"k", b"v10")
+        table.add(15, TOMBSTONE, b"k")
+        assert [e[1] for e in table.iterate()] == [20, 15, 10]
+        assert table.get(b"k") == (VALUE, b"v20")
+        assert table.get(b"k", snapshot=17) == (TOMBSTONE, b"")
+        assert table.get(b"k", snapshot=12) == (VALUE, b"v10")
+        assert table.get(b"k", snapshot=9) is None
+
+    def test_duplicate_sequence_replaces(self):
+        table = MemTable()
+        table.add(3, VALUE, b"k", b"old")
+        table.add(3, VALUE, b"k", b"new")
+        assert len(table) == 1
+        assert table.entries == 2
+        assert table.get(b"k") == (VALUE, b"new")
+
+    def test_nul_keys_keep_exact_bytes_order(self):
+        table = MemTable()
+        for seq, key in enumerate([b"\x00\x00", b"\x00", b"", b"\x00\x01", b"a\x00"], 1):
+            table.add(seq, VALUE, key, key)
+        assert [e[0] for e in table.iterate()] == [b"", b"\x00", b"\x00\x00", b"\x00\x01", b"a\x00"]
+        assert all(table.get(key) == (VALUE, key) for key, *_ in table.iterate())
+
+    def test_sequence_bounds(self):
+        table = MemTable()
+        with pytest.raises(ConfigurationError):
+            table.add(-1, VALUE, b"k", b"v")
+        with pytest.raises(ConfigurationError):
+            table.add(1 << 56, VALUE, b"k", b"v")
+        with pytest.raises(ConfigurationError):
+            table.get(b"k", snapshot=-1)
+        assert len(table) == 0
+
+    def test_non_bytes_keys_rejected(self):
+        with pytest.raises(ConfigurationError):
+            MemTable().add(1, VALUE, "string", b"v")
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ConfigurationError):
+            MemTable().add(1, 7, b"k", b"v")

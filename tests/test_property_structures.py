@@ -3,10 +3,8 @@
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.rng import make_rng
 from repro.storage.kv.bloom import BloomFilter
-from repro.storage.kv.memtable import VALUE, MemTable, decode_internal_key, encode_internal_key
-from repro.storage.kv.skiplist import SkipList
+from repro.storage.kv.memtable import TOMBSTONE, VALUE, MemTable
 from repro.storage.kv.db import WriteBatch
 
 keys = st.binary(min_size=1, max_size=24)
@@ -15,47 +13,6 @@ values = st.binary(max_size=48)
 _settings = settings(
     max_examples=60, suppress_health_check=[HealthCheck.too_slow], deadline=None
 )
-
-
-class TestSkipListModel:
-    @given(ops=st.lists(st.tuples(keys, values), max_size=120))
-    @_settings
-    def test_matches_dict_semantics(self, ops):
-        sl = SkipList(make_rng(1).fork("prop"))
-        model = {}
-        for key, value in ops:
-            sl.insert(key, value)
-            model[key] = value
-        assert len(sl) == len(model)
-        for key, value in model.items():
-            assert sl.get(key) == value
-        assert [k for k, _ in sl.items()] == sorted(model)
-
-    @given(
-        inserts=st.lists(keys, min_size=1, max_size=60, unique=True),
-        data=st.data(),
-    )
-    @_settings
-    def test_delete_removes_exactly_one_key(self, inserts, data):
-        sl = SkipList(make_rng(2).fork("prop"))
-        for key in inserts:
-            sl.insert(key, key)
-        victim = data.draw(st.sampled_from(inserts))
-        assert sl.delete(victim)
-        assert sl.get(victim) is None
-        survivors = sorted(k for k in inserts if k != victim)
-        assert [k for k, _ in sl.items()] == survivors
-
-    @given(st.lists(st.tuples(keys, values), max_size=80), keys)
-    @_settings
-    def test_items_from_respects_bound(self, ops, bound):
-        sl = SkipList(make_rng(3).fork("prop"))
-        for key, value in ops:
-            sl.insert(key, value)
-        tail = [k for k, _ in sl.items_from(bound)]
-        assert all(k >= bound for k in tail)
-        expected = sorted(k for k in {k for k, _ in ops} if k >= bound)
-        assert tail == expected
 
 
 class TestBloomModel:
@@ -76,28 +33,60 @@ class TestBloomModel:
         ]
 
 
-class TestInternalKeyModel:
-    @given(keys, st.integers(min_value=0, max_value=(1 << 56) - 1))
-    @_settings
-    def test_roundtrip(self, user_key, sequence):
-        assert decode_internal_key(encode_internal_key(user_key, sequence)) == (
-            user_key,
-            sequence,
-        )
-
-    @given(keys, st.integers(0, 1 << 40), st.integers(1, 1 << 20))
-    @_settings
-    def test_newer_sorts_before_older_same_key(self, user_key, sequence, delta):
-        newer = encode_internal_key(user_key, sequence + delta)
-        older = encode_internal_key(user_key, sequence)
-        assert newer < older
-
-
 class TestMemTableModel:
+    """The memtable against a plain list of (key, sequence) -> entry."""
+
+    @staticmethod
+    def _model_get(model, key, snapshot):
+        visible = [
+            (seq, kind, value)
+            for (k, seq), (kind, value) in model.items()
+            if k == key and (snapshot is None or seq <= snapshot)
+        ]
+        if not visible:
+            return None
+        _, kind, value = max(visible)
+        return kind, value
+
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from([b"", b"\x00", b"\x00\x00", b"\x00\x01", b"a", b"a\x00"])
+                | keys,
+                st.integers(0, 40),
+                st.sampled_from([VALUE, TOMBSTONE]),
+                values,
+            ),
+            max_size=80,
+        ),
+        snapshots=st.lists(st.integers(0, 45), max_size=6),
+    )
+    @_settings
+    def test_matches_reference_model(self, ops, snapshots):
+        table = MemTable()
+        model = {}
+        size_bytes = 0
+        for key, sequence, kind, value in ops:
+            table.add(sequence, kind, key, value)
+            model[(key, sequence)] = (kind, value)
+            size_bytes += len(key) + len(value) + 16
+        assert len(table) == len(model)
+        assert table.entries == len(ops)
+        assert table.approximate_bytes == size_bytes
+        expected_order = sorted(model, key=lambda ks: (ks[0], -ks[1]))
+        assert [(k, seq) for k, seq, _, _ in table.iterate()] == expected_order
+        assert [(kind, value) for _, _, kind, value in table.iterate()] == [
+            model[ks] for ks in expected_order
+        ]
+        probes = {key for key, _, _, _ in ops} | {b"absent", b"\x00\x02"}
+        for key in probes:
+            assert table.get(key) == self._model_get(model, key, None)
+            for snapshot in snapshots:
+                assert table.get(key, snapshot) == self._model_get(model, key, snapshot)
     @given(st.lists(st.tuples(keys, values), min_size=1, max_size=80))
     @_settings
     def test_latest_write_wins(self, ops):
-        table = MemTable(make_rng(4).fork("prop"))
+        table = MemTable()
         model = {}
         for sequence, (key, value) in enumerate(ops, start=1):
             table.add(sequence, VALUE, key, value)
@@ -108,7 +97,7 @@ class TestMemTableModel:
     @given(st.lists(st.tuples(keys, values), min_size=2, max_size=50))
     @_settings
     def test_snapshot_isolation(self, ops):
-        table = MemTable(make_rng(5).fork("prop"))
+        table = MemTable()
         half = len(ops) // 2
         model_at_snapshot = {}
         for sequence, (key, value) in enumerate(ops, start=1):

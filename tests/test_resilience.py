@@ -137,9 +137,15 @@ class TestFaultPlan:
         assert FaultPlan.parse("0=hang").action_for(0, 1).seconds > 0.0
 
     def test_parse_rejects_garbage(self):
-        for spec in ("3", "x=fail", "3=explode", "-1=fail", "3=fail@soon"):
+        for spec in (
+            "3", "x=fail", "3=explode", "-1=fail", "3=fail@soon",
+            "1=fail@nan", "1=hang@inf", "1=slow@-inf",
+        ):
             with pytest.raises(ConfigurationError):
                 FaultPlan.parse(spec)
+        for seconds in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                FaultAction("hang", seconds)
 
     def test_empty_plan_is_falsy(self):
         assert not FaultPlan()

@@ -222,6 +222,9 @@ class TestFleetSpecValidation:
             FleetSpec(raid="raid5", bays=2)
         with pytest.raises(ConfigurationError):
             FleetSpec(duration_s=10.0, service_tick_s=0.3)  # not a whole tick count
+        for late in ("20+1@650", "10+1@650"):  # starts after / exactly at the end
+            with pytest.raises(ConfigurationError):
+                FleetSpec(duration_s=10.0, attacks=(AttackWindow.parse(late),))
         for non_finite in (
             {"request_rate_hz": math.inf},
             {"rebuild_s": math.nan},
