@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: help test smoke lint deepcheck bench bench-json bench-fleet bench-fleet-sim perf-selftest kv-smoke trace-smoke dashboard-smoke fleet-smoke doctest docs docs-check
+.PHONY: help test smoke lint deepcheck bench perf-selftest kv-smoke trace-smoke dashboard-smoke fleet-smoke doctest docs docs-check
 
 help:       ## list targets with their one-line descriptions
 	@awk -F':.*##' '/^[a-z-]+:.*##/ {printf "  %-12s %s\n", $$1, $$2}' $(MAKEFILE_LIST)
@@ -30,15 +30,6 @@ docs-check: ## CI gate: fail if docs/CLI.md is stale
 
 bench:      ## paper-scale benchmarks (writes results/*.txt)
 	$(PYTHON) -m pytest -q benchmarks
-
-bench-json: ## machine-readable perf trajectory (writes BENCH_PR10.json)
-	$(PYTHON) tools/bench_json.py --out BENCH_PR10.json
-
-bench-fleet: ## batched rack sweep vs scalar loop only (writes BENCH_FLEET.json)
-	$(PYTHON) tools/bench_json.py --quick --only fleet --out BENCH_FLEET.json
-
-bench-fleet-sim: ## event-loop fleet campaign gate only (writes BENCH_FLEETSIM.json)
-	$(PYTHON) tools/bench_json.py --quick --only fleetsim --out BENCH_FLEETSIM.json
 
 perf-selftest: ## benchmark self-test: every workload at tiny size, probe boundaries intact
 	$(PYTHON) perfbench/selftest.py

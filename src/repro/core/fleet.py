@@ -11,9 +11,10 @@ attacker → water → wall stage of the chain is identical rack-wide; only
 the tower mount's bay height and the per-drive servo state differ.  The
 rack therefore evaluates attacks through the batched
 :mod:`repro.vecphys` fleet kernels (one shared-stage computation per
-call, broadcast across bays) whenever ``repro.perf.vec_physics_enabled``
-allows, falling back to the per-bay scalar chain otherwise — with
-bit-identical results either way, enforced by the fleet parity suite.
+call, broadcast across bays).  A rack whose bays do not share that
+stage or a servo takes the per-bay scalar chain, which stays callable
+as the reference the fleet parity suite compares against — with
+bit-identical results either way.
 """
 
 from __future__ import annotations
@@ -22,12 +23,12 @@ import math
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro import perf, vecphys
+from repro import vecphys
 from repro.core.attacker import AttackConfig
 from repro.core.coupling import AttackCoupling
 from repro.core.environment import UnderwaterEnvironment
 from repro.core.scenario import Scenario
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, UnitError
 from repro.hdd.drive import HardDiskDrive
 from repro.hdd.profiles import make_barracuda_profile
 from repro.hdd.servo import OpKind, ServoSystem, VibrationInput
@@ -185,11 +186,11 @@ class DriveRack:
         """Point one speaker at the enclosure; every bay feels it.
 
         Returns the per-bay vibration for inspection.  ``None`` silences
-        the attack.  With the vectorized kernels enabled the shared
-        source/water/wall stage is computed once for the whole rack.
+        the attack.  The shared source/water/wall stage is computed once
+        for the whole rack.
         """
         self._annotate_attack(config)
-        if config is not None and perf.vec_physics_enabled():
+        if config is not None:
             try:
                 batched = vecphys.rack_attack(self.couplings, config)
             except ConfigurationError:
@@ -200,6 +201,12 @@ class DriveRack:
                     slot.drive.set_vibration(vibration)
                     vibrations[slot.bay] = vibration
                 return vibrations
+        return self._apply_attack_scalar(config)
+
+    def _apply_attack_scalar(
+        self, config: Optional[AttackConfig]
+    ) -> Dict[int, VibrationInput]:
+        """Reference per-bay scalar chain (no trace annotation)."""
         return {
             slot.bay: slot.coupling.apply(slot.drive, config)
             for slot in self.slots
@@ -237,21 +244,24 @@ class DriveRack:
         return tracker.observe_rack(self.name, self.write_success_probabilities(), at)
 
     def _success_probabilities(self, op: OpKind) -> Dict[int, float]:
-        if perf.vec_physics_enabled():
-            servo = self._shared_servo()
-            if servo is not None:
-                out: Dict[int, float] = {}
-                active = [slot for slot in self.slots if not slot.drive.parked]
-                for slot in self.slots:
-                    if slot.drive.parked:
-                        out[slot.bay] = 0.0
-                if active:
-                    probabilities = vecphys.rack_success_probability(
-                        servo, op, [slot.drive.vibration for slot in active]
-                    )
-                    for slot, p in zip(active, probabilities):
-                        out[slot.bay] = p
-                return out
+        servo = self._shared_servo()
+        if servo is None:
+            return self._success_probabilities_scalar(op)
+        out: Dict[int, float] = {}
+        active = [slot for slot in self.slots if not slot.drive.parked]
+        for slot in self.slots:
+            if slot.drive.parked:
+                out[slot.bay] = 0.0
+        if active:
+            probabilities = vecphys.rack_success_probability(
+                servo, op, [slot.drive.vibration for slot in active]
+            )
+            for slot, p in zip(active, probabilities):
+                out[slot.bay] = p
+        return out
+
+    def _success_probabilities_scalar(self, op: OpKind) -> Dict[int, float]:
+        """Reference per-bay scalar chain."""
         return {
             slot.bay: slot.drive.success_probability(op) for slot in self.slots
         }
@@ -298,42 +308,38 @@ class DriveRack:
         ``wall_pressure_pa`` plus a ``bays`` list of per-bay rows
         (``bay``, ``displacement_m``, ``offtrack_m``, ``p_write``,
         ``p_read``, ``stalled``).  The batched and scalar paths return
-        byte-identical structures (the fleet bench gate serializes
-        both and compares digests).
+        byte-identical structures (the fleet parity tests serialize
+        both and compare them).
         """
         base = config if config is not None else AttackConfig()
         freqs = [float(f) for f in frequencies]
-        if perf.vec_physics_enabled() and vecphys.available():
-            servo = self._shared_servo()
-            if servo is not None:
-                try:
-                    surface = vecphys.fleet_surface(
-                        self.couplings, base, freqs, servo=servo
-                    )
-                except ConfigurationError:
-                    pass  # heterogeneous rack: per-bay scalar chain
-                else:
-                    return {
-                        "frequency_hz": surface["frequency_hz"].tolist(),
-                        "wall_pressure_pa": surface["wall_pressure_pa"].tolist(),
-                        "bays": [
-                            {
-                                "bay": slot.bay,
-                                "displacement_m": surface["displacement_m"][i].tolist(),
-                                "offtrack_m": surface["offtrack_m"][i].tolist(),
-                                "p_write": surface["p_write"][i].tolist(),
-                                "p_read": surface["p_read"][i].tolist(),
-                                "stalled": surface["stalled"][i].tolist(),
-                            }
-                            for i, slot in enumerate(self.slots)
-                        ],
-                    }
-        return self._sweep_surface_scalar(base, freqs)
+        servo = self._shared_servo()
+        if servo is None:
+            return self._sweep_surface_scalar(base, freqs)
+        try:
+            surface = vecphys.fleet_surface(self.couplings, base, freqs, servo=servo)
+        except ConfigurationError:
+            return self._sweep_surface_scalar(base, freqs)  # heterogeneous rack
+        return {
+            "frequency_hz": surface["frequency_hz"].tolist(),
+            "wall_pressure_pa": surface["wall_pressure_pa"].tolist(),
+            "bays": [
+                {
+                    "bay": slot.bay,
+                    "displacement_m": surface["displacement_m"][i].tolist(),
+                    "offtrack_m": surface["offtrack_m"][i].tolist(),
+                    "p_write": surface["p_write"][i].tolist(),
+                    "p_read": surface["p_read"][i].tolist(),
+                    "stalled": surface["stalled"][i].tolist(),
+                }
+                for i, slot in enumerate(self.slots)
+            ],
+        }
 
     def _sweep_surface_scalar(
         self, base: AttackConfig, freqs: List[float]
     ) -> Dict[str, object]:
-        """Reference per-bay scalar loop (also the fleet bench baseline)."""
+        """Reference per-bay scalar loop."""
         wall: List[float] = []
         bays = [
             {
@@ -591,12 +597,20 @@ class FleetSpec:
             )
         if self.max_attempts < 1:
             raise ConfigurationError(f"max attempts must be >= 1: {self.max_attempts}")
+        # Every rack sits in the case-study tank behind the same wall, so
+        # one coupling runs the speaker chain and the water path that the
+        # racks would otherwise reach only mid-run.
+        coupling = AttackCoupling.paper_setup()
         for window in self.attacks:
             if window.start_s >= self.duration_s:
                 raise ConfigurationError(
                     f"attack at {window.start_s}s starts at or after the "
                     f"{self.duration_s}s campaign end"
                 )
+            try:
+                coupling.wall_pressure_pa(window.config())
+            except UnitError as err:
+                raise ConfigurationError(f"infeasible attack: {err}") from err
 
     @property
     def raid_level(self) -> Optional[RaidLevel]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.acoustics.medium import WaterConditions
 from repro.acoustics.propagation import PropagationModel
@@ -56,26 +56,14 @@ def _offtrack_ratios(
     servo,
     op: OpKind,
 ) -> "List[float]":
-    """Write off-track ratios over a frequency grid (one table row).
-
-    Uses the batched :mod:`repro.vecphys` kernels when the perf flag is
-    on — bit-identical to the scalar chain, so the formatted cells do
-    not change — and falls back to per-frequency scalar evaluation
-    otherwise (``perf_baseline()`` or numpy-less installs).
-    """
-    from repro import perf, vecphys
+    """Write off-track ratios over a frequency grid (one table row),
+    through the batched :mod:`repro.vecphys` sweep kernel."""
+    from repro import vecphys
 
     threshold = servo.threshold_m(op)
-    if perf.vec_physics_enabled() and vecphys.available():
-        base = AttackConfig(ATTACK_TONE_HZ, ATTACK_LEVEL_DB, 0.01)
-        surface = vecphys.sweep_surface(coupling, base, frequencies_hz, servo=servo)
-        return [amplitude / threshold for amplitude in surface["offtrack_m"].tolist()]
-    ratios = []
-    for frequency in frequencies_hz:
-        config = AttackConfig(frequency, ATTACK_LEVEL_DB, 0.01)
-        vibration = coupling.vibration_at_drive(config)
-        ratios.append(servo.offtrack_amplitude_m(vibration) / threshold)
-    return ratios
+    base = AttackConfig(ATTACK_TONE_HZ, ATTACK_LEVEL_DB, 0.01)
+    surface = vecphys.sweep_surface(coupling, base, frequencies_hz, servo=servo)
+    return [amplitude / threshold for amplitude in surface["offtrack_m"].tolist()]
 
 
 # --------------------------------------------------------------------------

@@ -13,17 +13,16 @@ store above observe real persistence semantics; payload-less writes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 from repro.errors import ConfigurationError, DriveTimeout, MediumError, UnitError
 from repro.rng import ReproRandom, make_rng
 from repro.sim.clock import VirtualClock
 from repro.units import SECTOR_SIZE
-from repro import perf
 from repro.obs import telemetry as obs
 
-from .controller import DriveController, IOResult, RetryPolicy
+from .controller import DriveController, IOResult
 from .profiles import DriveProfile, make_barracuda_profile
 from .sector_store import SectorStore
 from .servo import OpKind, VibrationInput
@@ -67,10 +66,8 @@ class HardDiskDrive:
         self.stats = DriveStats()
         self._store = SectorStore()
         self._schedule: Optional[Callable[[float], Optional[VibrationInput]]] = None
-        self._fast_path = perf.io_fast_path_enabled()
-        # Telemetry is captured at construction (like the perf flags):
-        # with nothing installed the I/O paths skip recording on a
-        # single ``is not None`` check.
+        # Telemetry is captured at construction: with nothing installed
+        # the I/O paths skip recording on a single ``is not None`` check.
         self._obs = obs.get()
         # Hot-path caches: the addressable span (the geometry is fixed
         # for the drive's lifetime) and shared zero-filled read buffers
@@ -158,7 +155,7 @@ class HardDiskDrive:
         schedule-driven (time-varying) vibration keeps the re-sampling
         callable path and its per-attempt semantics.
         """
-        if self._schedule is None and self._fast_path:
+        if self._schedule is None:
             return self.controller.execute_static(
                 op, lba, sectors, self.vibration, self.parked
             )

@@ -85,7 +85,7 @@ class Tracer:
         # Hot-path storage: spans/events are kept as plain slot tuples in
         # SpanRecord/EventRecord field order — appending a tuple is several
         # times cheaper than constructing a frozen dataclass per drive
-        # command, which BENCH_PR6 measured as ~12x traced overhead.  The
+        # command, which once cost ~12x traced overhead.  The
         # record views below materialize dataclasses on demand (and cache
         # them: the buffers are append-only, so a length check suffices).
         self._spans: List[tuple] = []

@@ -42,7 +42,6 @@ import os
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro import perf
 from repro.errors import (
     CampaignAborted,
     ConfigurationError,
@@ -181,13 +180,6 @@ def make_runner(
     if resume and journal_path is None:
         raise ConfigurationError("--resume needs a journal (--journal or --cache-dir)")
     cache = ResultCache(cache_dir) if cache_dir is not None else None
-    if cache_dir is not None:
-        # Campaigns with a cache dir also persist the acoustic-field
-        # memo there, so re-runs and ablation variants sharing geometry
-        # skip the propagation chain across processes.
-        from repro.core.fieldcache import attach_disk
-
-        attach_disk(os.path.join(cache_dir, "acoustic-field"))
     journal = None
     if journal_path is not None:
         if campaign is None:
@@ -581,11 +573,7 @@ class SweepRunner:
         pending: Sequence[int],
         context: _MapContext,
     ) -> None:
-        if (
-            self.retry is None
-            and self.fault_plan is None
-            and perf.vec_physics_enabled()
-        ):
+        if self.retry is None and self.fault_plan is None:
             # Legacy semantics (first exception propagates, no retries,
             # no deadlines) — safe to trade the per-point state machine
             # for chunked submissions that amortize pool overhead.

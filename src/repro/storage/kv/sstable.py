@@ -11,8 +11,10 @@ On-disk layout (all little-endian)::
                     bloom_len, entries, smallest, largest, crc} padded
                     into the final 512 bytes, preceded by magic
 
-Readers binary-search the block index, scan one block, and consult the
-bloom filter first for point lookups.
+Readers consult the bloom filter first for point lookups, binary-search
+the block index for the first block that can hold the key, and scan from
+there until the key is passed (one key's versions may straddle a block
+boundary).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from bisect import bisect_right
+from bisect import bisect_left
 from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, CorruptionError
@@ -171,10 +173,6 @@ class SSTableReader:
         self.smallest = bytes.fromhex(footer["smallest"])
         self.largest = bytes.fromhex(footer["largest"])
 
-    def _block_for(self, key: bytes) -> Optional[Tuple[int, int]]:
-        index = bisect_right(self._first_keys, key) - 1
-        return self._blocks[index] if index >= 0 else None
-
     def get(self, key: bytes, snapshot: Optional[int] = None) -> Optional[Tuple[int, int, bytes]]:
         """Newest (sequence, kind, value) for ``key`` visible at snapshot.
 
@@ -186,12 +184,11 @@ class SSTableReader:
             return None
         if not self._bloom.may_contain(key):
             return None
-        block = self._block_for(key)
-        if block is None:
-            return None
-        offset, length = block
-        end = offset + length
+        # A block whose first key equals ``key`` may continue versions
+        # that began in the block before it, so start one block earlier.
+        offset = self._blocks[max(bisect_left(self._first_keys, key) - 1, 0)][0]
         data = self._data
+        end = len(data)
         unpack = _ENTRY.unpack_from
         best: Optional[Tuple[int, int, bytes]] = None
         while offset < end:

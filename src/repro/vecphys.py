@@ -19,8 +19,8 @@ implementation in two ways:
   ``math`` / ``**`` calls the scalar code makes, because numpy's pow and
   transcendental kernels round differently from libm in the last ulp.
   The batch win on those stages comes from hoisting the per-call
-  constant folding, memo probing, and attribute dispatch out of the
-  loop, not from SIMD.
+  constant folding and attribute dispatch out of the loop, not from
+  SIMD.
 
 The big vector win is :func:`run_sequential_static`: in the healthy
 regime (per-attempt success probability >= 1) a sequential FIO run is a
@@ -30,11 +30,10 @@ timings, latencies, counters, and RNG stream (zero draws) to the scalar
 walk.  Degraded and stalled points fall back to the scalar path, which
 is cheap there because the runtime window holds few operations.
 
-Callers gate on :func:`repro.perf.vec_physics_enabled` (environment
-variable ``REPRO_VEC_PHYSICS``); :func:`repro.perf.perf_baseline`
-disables the kernels along with the other hot-path optimizations.
-numpy itself is optional — :func:`available` reports whether the
-kernels can run at all.
+These kernels are the only path the campaigns take; the scalar classes
+(:class:`~repro.hdd.servo.ServoSystem`, the per-bay rack chain, the FIO
+issue loop) stay callable as the references the parity tests compare
+against.
 """
 
 from __future__ import annotations
@@ -42,10 +41,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-try:  # numpy is an optional accelerator, never a hard dependency
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
+import numpy as _np
 
 from repro.errors import ConfigurationError, UnitError
 from repro.hdd.servo import OpKind, VibrationInput
@@ -64,7 +60,6 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.workloads.fio import FioJob, FioResult, FioTester
 
 __all__ = [
-    "available",
     "modal_response",
     "panel_displacement_per_pascal",
     "frame_displacement_per_pascal",
@@ -86,19 +81,6 @@ __all__ = [
 #: is a few thousand ops; anything needing more slots than this signals
 #: a pathological (runtime, service-time) pair better served scalar.
 _MAX_CLOSED_FORM_OPS = 50_000_000
-
-
-def available() -> bool:
-    """True when numpy is importable and the kernels can run."""
-    return _np is not None
-
-
-def _require_numpy() -> None:
-    if _np is None:
-        raise ConfigurationError(
-            "repro.vecphys needs numpy, which is not installed; "
-            "use the scalar chain instead"
-        )
 
 
 def _grid(frequencies: Sequence[float]) -> List[float]:
@@ -147,14 +129,12 @@ def _modal_eval(consts, f: float, sqrt=math.sqrt) -> float:
 
 def modal_response(modes: "ModalResponse", frequencies: Sequence[float]):
     """Batched :meth:`repro.vibration.modes.ModalResponse.response`."""
-    _require_numpy()
     consts = _modal_consts(modes)
     return _array([_modal_eval(consts, f) for f in _grid(frequencies)])
 
 
 def panel_displacement_per_pascal(wall: "PanelWall", frequencies: Sequence[float]):
     """Batched :meth:`repro.vibration.transmission.PanelWall.displacement_per_pascal`."""
-    _require_numpy()
     m_eff = wall.effective_surface_density
     omega0 = 2.0 * math.pi * wall.fundamental_frequency_hz
     omega0_sq = omega0 ** 2
@@ -178,7 +158,6 @@ def frame_displacement_per_pascal(
     enclosure: "Enclosure", frequencies: Sequence[float]
 ):
     """Batched :meth:`repro.vibration.enclosure.Enclosure.frame_displacement_per_pascal`."""
-    _require_numpy()
     freqs = _grid(frequencies)
     wall = panel_displacement_per_pascal(enclosure.wall, freqs).tolist()
     gain = enclosure.structural_gain
@@ -195,7 +174,6 @@ def frame_displacement_per_pascal(
 
 def mount_transmissibility(mount: "Mount", frequencies: Sequence[float]):
     """Batched :meth:`repro.vibration.mount.Mount.transmissibility`."""
-    _require_numpy()
     freqs = _grid(frequencies)
     base_gain = mount.base_gain
     if mount.modes is None:
@@ -217,7 +195,6 @@ def _rejection_eval(corner: float, order: int, f: float) -> float:
 
 def servo_rejection(servo: "ServoSystem", frequencies: Sequence[float]):
     """Batched :meth:`repro.hdd.servo.ServoSystem.rejection`."""
-    _require_numpy()
     corner = servo.rejection_corner_hz
     order = servo.rejection_order
     return _array([_rejection_eval(corner, order, f) for f in _grid(frequencies)])
@@ -239,7 +216,6 @@ def servo_offtrack_amplitude(
     displacements: Sequence[float],
 ):
     """Batched :meth:`repro.hdd.servo.ServoSystem.offtrack_amplitude_m`."""
-    _require_numpy()
     freqs = _grid(frequencies)
     disps = _displacements(displacements)
     _paired("servo_offtrack_amplitude", freqs, disps)
@@ -306,7 +282,6 @@ def servo_success_probability(
     displacements: Sequence[float],
 ):
     """Batched :meth:`repro.hdd.servo.ServoSystem.success_probability`."""
-    _require_numpy()
     freqs = _grid(frequencies)
     amps = servo_offtrack_amplitude(servo, freqs, displacements).tolist()
     consts = _success_consts(servo, op)
@@ -322,7 +297,6 @@ def absorption_db_per_km(
     conditions: "WaterConditions", frequencies: Sequence[float]
 ):
     """Batched :func:`repro.acoustics.absorption.absorption_for_conditions`."""
-    _require_numpy()
     freqs = _grid(frequencies)
     t = conditions.temperature_c
     z_km = conditions.depth_m / 1000.0
@@ -359,7 +333,6 @@ def transmission_loss_db(
     model: "PropagationModel", distance_m: float, frequencies: Sequence[float]
 ):
     """Batched :meth:`repro.acoustics.propagation.PropagationModel.transmission_loss_db`."""
-    _require_numpy()
     from repro.acoustics.propagation import spherical_spreading_db
 
     freqs = _grid(frequencies)
@@ -380,7 +353,6 @@ def chassis_displacement(
     frequencies: Sequence[float],
 ):
     """Batched :meth:`repro.core.scenario.Scenario.chassis_displacement_m`."""
-    _require_numpy()
     freqs = _grid(frequencies)
     pressures = [float(p) for p in pressures_pa]
     _paired("chassis_displacement", freqs, pressures)
@@ -414,7 +386,6 @@ def sweep_surface(
     boolean ``stalled`` (no-response regime).  Every value is
     bit-identical to the scalar chain at the same frequency.
     """
-    _require_numpy()
     freqs = _grid(frequencies)
     if servo is None:
         from repro.hdd.profiles import BARRACUDA_500GB
@@ -448,10 +419,8 @@ def sweep_surface(
 # source/water/wall stage out of the per-bay loop — it is computed once
 # per (source, rack geometry, water condition) and broadcast — while
 # keeping every per-element operation bit-identical to the scalar chain.
-# ``rack_attack`` and ``rack_success_probability`` are pure Python (no
-# numpy needed), so the fleet wiring keeps its speedup on numpy-less
-# installs; ``fleet_surface`` batches whole (frequency × bay) matrices
-# and does require numpy.
+# ``rack_attack`` and ``rack_success_probability`` are pure Python;
+# ``fleet_surface`` batches whole (frequency × bay) matrices in numpy.
 
 
 def _shared_rack_stage(couplings: "Sequence[AttackCoupling]") -> "AttackCoupling":
@@ -592,7 +561,6 @@ def fleet_surface(
     boolean ``stalled``.  Every element is bit-identical to the scalar
     chain run on that (bay, frequency) cell.
     """
-    _require_numpy()
     if not couplings:
         raise ConfigurationError("fleet_surface needs at least one bay")
     freqs = _grid(frequencies)
@@ -698,12 +666,10 @@ def run_sequential_static(
     vibration schedule, cursor wrap, ...) — the caller then takes the
     scalar loop unchanged.
     """
-    if _np is None:
-        return None
     drive = tester.drive
     if job.mode.is_random or tester._obs is not None or drive._obs is not None:
         return None
-    if drive._schedule is not None or not drive._fast_path:
+    if drive._schedule is not None:
         return None
     controller = drive.controller
     if controller._attempt_tracer is not None:

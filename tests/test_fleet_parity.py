@@ -1,11 +1,10 @@
-"""Batched fleet kernels, acoustic-field cache, and pool transport (PR 7).
+"""Batched fleet kernels and pool transport.
 
 The rack contract mirrors :mod:`tests.test_vecphys`: *exact* equality,
 never approximate.  The batched rack kernels must reproduce the per-bay
-scalar chain float for float across bay counts, wall materials, and
-water conditions; the acoustic-field cache must return the identical
-floats it would recompute; and the packed pool transport must round-trip
-row values bit for bit.
+scalar chain (``DriveRack._apply_attack_scalar`` and friends) float for
+float across bay counts, wall materials, and water conditions; and the
+packed pool transport must round-trip row values bit for bit.
 """
 
 from __future__ import annotations
@@ -14,15 +13,11 @@ import json
 
 import pytest
 
-from repro import perf, vecphys
 from repro.acoustics.medium import WaterConditions
-from repro.core import fieldcache
 from repro.core.attack import SweepPoint
 from repro.core.attacker import AttackConfig
-from repro.core.coupling import AttackCoupling
 from repro.core.environment import UnderwaterEnvironment
 from repro.core.fleet import BaySweepPoint, DriveRack
-from repro.core.scenario import Scenario
 from repro.errors import ConfigurationError
 from repro.hdd.servo import OpKind
 from repro.runtime import transport
@@ -41,36 +36,20 @@ ENVIRONMENTS = {
 GRAZING = AttackConfig(frequency_hz=300.0, source_level_db=140.0, distance_m=0.03)
 
 
-@pytest.fixture()
-def scalar_mode():
-    """Force the per-bay scalar chain (and no field cache) inside the body."""
-    previous_vec = perf.set_vec_physics_enabled(False)
-    previous_cache = perf.set_field_cache_enabled(False)
-    try:
-        yield
-    finally:
-        perf.set_vec_physics_enabled(previous_vec)
-        perf.set_field_cache_enabled(previous_cache)
-
-
 def _scalar_reference(bays, metal, environment, config, frequencies=GRID):
-    """Everything the scalar chain says about one rack under one attack."""
-    previous_vec = perf.set_vec_physics_enabled(False)
-    previous_cache = perf.set_field_cache_enabled(False)
-    try:
-        rack = DriveRack(bays=bays, metal=metal, environment=environment)
-        vibrations = rack.apply_attack(config)
-        return {
-            "vibrations": vibrations,
-            "p_write": rack.write_success_probabilities(),
-            "p_read": rack.read_success_probabilities(),
-            "stalled": rack.stalled_bays(),
-            "healthy": rack.healthy_bays(),
-            "surface": rack.sweep_surface(frequencies, config),
-        }
-    finally:
-        perf.set_vec_physics_enabled(previous_vec)
-        perf.set_field_cache_enabled(previous_cache)
+    """Everything the per-bay scalar chain says about one rack under one
+    attack, read off the rack's reference methods."""
+    rack = DriveRack(bays=bays, metal=metal, environment=environment)
+    vibrations = rack._apply_attack_scalar(config)
+    p_write = rack._success_probabilities_scalar(OpKind.WRITE)
+    return {
+        "vibrations": vibrations,
+        "p_write": p_write,
+        "p_read": rack._success_probabilities_scalar(OpKind.READ),
+        "stalled": [bay for bay, p in sorted(p_write.items()) if p == 0.0],
+        "healthy": [bay for bay, p in sorted(p_write.items()) if p >= 1.0],
+        "surface": rack._sweep_surface_scalar(config, [float(f) for f in frequencies]),
+    }
 
 
 class TestRackParity:
@@ -126,29 +105,6 @@ class TestRackParity:
         )
 
 
-class TestNumpyAbsentFallback:
-    """Pure-Python rack kernels keep working without numpy."""
-
-    def test_rack_attack_is_pure_python(self, monkeypatch):
-        config = AttackConfig.paper_best()
-        reference = _scalar_reference(3, False, None, config)
-        monkeypatch.setattr(vecphys, "_np", None)
-        assert not vecphys.available()
-        rack = DriveRack(bays=3)
-        assert rack.apply_attack(config) == reference["vibrations"]
-        assert rack.write_success_probabilities() == reference["p_write"]
-
-    def test_sweep_surface_falls_back_to_scalar(self, monkeypatch):
-        config = GRAZING
-        reference = _scalar_reference(2, False, None, config)
-        monkeypatch.setattr(vecphys, "_np", None)
-        rack = DriveRack(bays=2)
-        surface = rack.sweep_surface(GRID, config)
-        assert json.dumps(surface, sort_keys=True) == json.dumps(
-            reference["surface"], sort_keys=True
-        )
-
-
 class TestHealthyBays:
     """The exact-health default and the threshold escape hatch."""
 
@@ -176,72 +132,6 @@ class TestHealthyBays:
         rack = DriveRack(bays=2)
         with pytest.raises(ConfigurationError):
             rack.healthy_bays(threshold=threshold)
-
-
-class TestFieldCache:
-    """The campaign-level source/water/wall memo returns exact floats."""
-
-    @pytest.fixture(autouse=True)
-    def fresh_cache(self):
-        fieldcache.reset()
-        yield
-        fieldcache.reset()
-
-    def test_hit_returns_bit_identical_displacement(self):
-        config = AttackConfig.paper_best()
-        cold = AttackCoupling.paper_setup(Scenario.scenario_2())
-        expected = cold.vibration_at_drive(config)
-        assert fieldcache.stats().misses == 1
-        assert fieldcache.stats().stores == 1
-        warm = AttackCoupling.paper_setup(Scenario.scenario_2())
-        assert warm.vibration_at_drive(config) == expected
-        assert fieldcache.stats().hits == 1
-
-    def test_flag_off_bypasses_and_matches(self, scalar_mode):
-        assert fieldcache.active() is None
-        config = AttackConfig.paper_best()
-        coupling = AttackCoupling.paper_setup(Scenario.scenario_2())
-        uncached = coupling.vibration_at_drive(config)
-        assert fieldcache.stats().misses == 0
-        previous = perf.set_field_cache_enabled(True)
-        try:
-            cached = AttackCoupling.paper_setup(
-                Scenario.scenario_2()
-            ).vibration_at_drive(config)
-        finally:
-            perf.set_field_cache_enabled(previous)
-        assert cached == uncached
-
-    def test_disk_layer_round_trips_exactly(self, tmp_path):
-        config = AttackConfig.paper_best()
-        fieldcache.attach_disk(tmp_path)
-        expected = AttackCoupling.paper_setup(
-            Scenario.scenario_2()
-        ).vibration_at_drive(config)
-        # A fresh in-process cache (new process, same cache dir): the
-        # field comes back from disk, bit-identical.
-        fieldcache.reset()
-        fieldcache.attach_disk(tmp_path)
-        got = AttackCoupling.paper_setup(
-            Scenario.scenario_2()
-        ).vibration_at_drive(config)
-        assert got == expected
-        assert fieldcache.stats().disk_hits == 1
-        assert fieldcache.stats().misses == 0
-
-    def test_distinct_geometry_does_not_collide(self):
-        config = AttackConfig.paper_best()
-        plastic = AttackCoupling.paper_setup(Scenario.scenario_2())
-        metal = AttackCoupling.paper_setup(Scenario.scenario_3())
-        assert plastic.vibration_at_drive(config) != metal.vibration_at_drive(config)
-        assert fieldcache.stats().misses == 2
-
-    def test_lru_eviction_bounds_memory(self):
-        cache = fieldcache.reset(capacity=4)
-        coupling = AttackCoupling.paper_setup(Scenario.scenario_2())
-        for f in range(100, 1100, 100):
-            coupling.vibration_at_drive(AttackConfig.paper_best().at_frequency(float(f)))
-        assert len(cache) == 4
 
 
 def _bay_row(spec) -> BaySweepPoint:

@@ -113,6 +113,22 @@ class TestSSTable:
         assert reader.get(b"k", snapshot=7)[2] == b"older"
         assert reader.get(b"k", snapshot=2) is None
 
+    def test_versions_straddling_a_block_boundary(self, fs):
+        # The 4070-byte value fills block 0 up to k@9; k@3 opens block 1,
+        # so the index's first keys are [a, k] and the newest version of
+        # k sits in the block before the one whose first key is k.
+        builder = SSTableBuilder(fs, "/straddle.sst")
+        builder.add(b"a", 1, VALUE, b"x" * 4070)
+        builder.add(b"k", 9, VALUE, b"new")
+        builder.add(b"k", 3, VALUE, b"old")
+        builder.add(b"z", 2, VALUE, b"v")
+        builder.finish()
+        reader = SSTableReader(fs, "/straddle.sst")
+        assert reader._first_keys == [b"a", b"k"]
+        assert reader.get(b"k") == (9, VALUE, b"new")
+        assert reader.get(b"k", snapshot=5) == (3, VALUE, b"old")
+        assert reader.get(b"z") == (2, VALUE, b"v")
+
     def test_iterate_in_order(self, fs):
         reader = SSTableReader(fs, build_table(fs, n=100))
         keys = [key for key, *_ in reader.iterate()]

@@ -1,18 +1,18 @@
-"""Correctness of the hot-path I/O engine (PR 2).
+"""Correctness of the hot-path I/O engine.
 
-The memoized servo chain, the static-vibration fast path, and the
-page-granular sector store are performance features that must be
-*observationally invisible*: every test here compares the optimized
-paths against ``repro.perf.perf_baseline()`` (the flags-off escape
-hatch) or a freshly-built reference and demands exact equality — same
-floats, same RNG draws, same clock times, same exception text.
+The controller's static-vibration path and the page-granular sector
+store are performance features that must be *observationally
+invisible*: every test here compares them against a reference — the
+controller's re-sampling :meth:`~repro.hdd.controller.DriveController.execute`
+path, a freshly-built servo, or pinned digests — and demands exact
+equality: same floats, same RNG draws, same clock times, same
+exception text.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import perf
 from repro.core.attack import AttackSession
 from repro.errors import ConfigurationError, DriveTimeout
 from repro.hdd.drive import HardDiskDrive
@@ -23,49 +23,34 @@ from repro.sim.clock import VirtualClock
 from repro.units import SECTOR_SIZE
 
 
+#: The tones of the pinned sweep digest below, below/inside/above the band.
+SWEEP_FREQS = [200.0, 650.0, 900.0, 3000.0]
+
+
 def _drive(seed: int = 11) -> HardDiskDrive:
     return HardDiskDrive(clock=VirtualClock(), rng=make_rng(seed))
 
 
-class TestPerfFlags:
-    def test_baseline_context_restores_flags(self):
-        assert perf.servo_cache_enabled()
-        assert perf.io_fast_path_enabled()
-        assert perf.vec_physics_enabled()
-        with perf.perf_baseline():
-            assert not perf.servo_cache_enabled()
-            assert not perf.io_fast_path_enabled()
-            assert not perf.vec_physics_enabled()
-        assert perf.servo_cache_enabled()
-        assert perf.io_fast_path_enabled()
-        assert perf.vec_physics_enabled()
+def _reference_drive(seed: int = 11) -> HardDiskDrive:
+    """A drive whose commands take the controller's re-sampling path.
 
-    def test_baseline_context_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with perf.perf_baseline():
-                raise RuntimeError("boom")
-        assert perf.servo_cache_enabled()
-        assert perf.io_fast_path_enabled()
-        assert perf.vec_physics_enabled()
+    :meth:`DriveController.execute` with a callable state re-evaluates
+    the servo chain on every attempt; the drive normally takes
+    :meth:`DriveController.execute_static` whenever no vibration
+    schedule is installed.
+    """
+    drive = _drive(seed)
+    controller = drive.controller
+
+    def execute(op, lba, sectors):
+        return controller.execute(op, lba, sectors, drive._current_state)
+
+    drive._execute = execute
+    return drive
 
 
 class TestServoMemo:
     VIB = VibrationInput(frequency_hz=650.0, displacement_m=2.3e-8)
-
-    def test_memoized_matches_uncached(self):
-        fast = ServoSystem()
-        with perf.perf_baseline():
-            slow = ServoSystem()
-            expected = [
-                slow.success_probability(op, self.VIB)
-                for op in (OpKind.WRITE, OpKind.READ)
-            ] + [slow.offtrack_amplitude_m(self.VIB), slow.rejection(650.0)]
-        for _ in range(3):  # second pass serves from the memo
-            got = [
-                fast.success_probability(op, self.VIB)
-                for op in (OpKind.WRITE, OpKind.READ)
-            ] + [fast.offtrack_amplitude_m(self.VIB), fast.rejection(650.0)]
-            assert got == expected
 
     def test_parameter_mutation_invalidates_memo(self):
         servo = ServoSystem()
@@ -119,8 +104,7 @@ class TestStaticFastPath:
 
     def test_fast_path_matches_baseline_under_degradation(self):
         fast = self._run_ops(_drive(), self.DEGRADE)
-        with perf.perf_baseline():
-            slow = self._run_ops(_drive(), self.DEGRADE)
+        slow = self._run_ops(_reference_drive(), self.DEGRADE)
         assert fast == slow
         # The regime actually exercised the retry loop (multi-attempt
         # completions), not just the single-attempt happy path.
@@ -128,8 +112,7 @@ class TestStaticFastPath:
 
     def test_fast_path_matches_baseline_when_quiescent(self):
         fast = self._run_ops(_drive(), VibrationInput.none())
-        with perf.perf_baseline():
-            slow = self._run_ops(_drive(), VibrationInput.none())
+        slow = self._run_ops(_reference_drive(), VibrationInput.none())
         assert fast == slow
 
     def test_fast_path_timeout_matches_baseline(self):
@@ -137,11 +120,10 @@ class TestStaticFastPath:
         fast_drive.set_vibration(self.STALL)
         with pytest.raises(DriveTimeout) as fast_exc:
             fast_drive.write(0, 8)
-        with perf.perf_baseline():
-            slow_drive = _drive()
-            slow_drive.set_vibration(self.STALL)
-            with pytest.raises(DriveTimeout) as slow_exc:
-                slow_drive.write(0, 8)
+        slow_drive = _reference_drive()
+        slow_drive.set_vibration(self.STALL)
+        with pytest.raises(DriveTimeout) as slow_exc:
+            slow_drive.write(0, 8)
         assert str(fast_exc.value) == str(slow_exc.value)
         assert fast_drive.clock.now == slow_drive.clock.now
         assert fast_drive.stats.timeouts == slow_drive.stats.timeouts == 1
@@ -177,27 +159,6 @@ class TestStaticFastPath:
         capped_errors, capped_retries = run(mutate=True)
         assert capped_retries < default_retries
         assert capped_errors >= default_errors
-
-
-class TestSweepCacheCorrectness:
-    """The satellite check: a memoized sweep is byte-identical to the
-    caching-disabled run, across servo memo + fast path + locate cache."""
-
-    FREQS = [200.0, 650.0, 900.0, 3000.0]
-
-    @staticmethod
-    def _sweep():
-        session = AttackSession(seed=5, fio_runtime_s=0.3)
-        result = session.frequency_sweep(TestSweepCacheCorrectness.FREQS)
-        return [
-            (p.frequency_hz, p.write_mbps, p.read_mbps) for p in result.points
-        ]
-
-    def test_sweep_is_bit_identical_without_caches(self):
-        fast = self._sweep()
-        with perf.perf_baseline():
-            slow = self._sweep()
-        assert fast == slow
 
 
 class TestTelemetryOffIdentity:
@@ -239,7 +200,7 @@ class TestTelemetryOffIdentity:
         draws, patcher = self._counting_draws()
         with patcher:
             session = AttackSession(seed=5, fio_runtime_s=0.3)
-            result = session.frequency_sweep(TestSweepCacheCorrectness.FREQS)
+            result = session.frequency_sweep(SWEEP_FREQS)
         rows = [
             "%.1f,%.9f,%.9f" % (p.frequency_hz, p.write_mbps, p.read_mbps)
             for p in result.points
@@ -295,7 +256,7 @@ class TestTelemetryOffIdentity:
 
         with obs.session(obs.Telemetry(tracer=obs.Tracer(detail="attempts"))):
             traced = AttackSession(seed=5, fio_runtime_s=0.3).frequency_sweep(
-                TestSweepCacheCorrectness.FREQS
+                SWEEP_FREQS
             )
         assert digest_of(traced) == self.SWEEP_DIGEST
 

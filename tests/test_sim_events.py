@@ -225,6 +225,10 @@ class TestFleetSpecValidation:
         for late in ("20+1@650", "10+1@650"):  # starts after / exactly at the end
             with pytest.raises(ConfigurationError):
                 FleetSpec(duration_s=10.0, attacks=(AttackWindow.parse(late),))
+        # Beyond the speaker chain's reach / beyond the tank's length.
+        for infeasible in ("2+3@15000/139", "2+3@650/139/5"):
+            with pytest.raises(ConfigurationError):
+                FleetSpec(attacks=(AttackWindow.parse(infeasible),))
         for non_finite in (
             {"request_rate_hz": math.inf},
             {"rebuild_s": math.nan},

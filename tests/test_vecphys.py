@@ -1,24 +1,26 @@
-"""Scalar <-> vectorized parity for the batched physics kernels (PR 6).
+"""Scalar <-> vectorized parity for the batched physics kernels.
 
 The contract under test is *exact* equality, never approximate: every
 ``repro.vecphys`` kernel must reproduce the scalar chain float for
 float over randomized grids, all shipped drive profiles, and all three
 paper scenarios; the closed-form FIO evaluator must leave the rig —
 clock, stats, caches, head position, RNG stream — in the identical
-state the scalar issue loop produces; and the Figure 2 CSVs must be
-byte-identical with the flag on and off.
+state the scalar issue loop produces; and the Figure 2 CSVs and
+ablation tables must be byte-identical to runs through the scalar
+references.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import perf, vecphys
+from repro import vecphys
 from repro.acoustics.medium import WaterConditions
 from repro.acoustics.propagation import PropagationModel
 from repro.core.attacker import AttackConfig
@@ -38,10 +40,6 @@ from repro.hdd.servo import OpKind, VibrationInput
 from repro.rng import make_rng
 from repro.sim.clock import VirtualClock
 from repro.workloads.fio import FioJob, FioTester, IOMode
-
-pytestmark = pytest.mark.skipif(
-    not vecphys.available(), reason="numpy not installed"
-)
 
 _settings = settings(
     max_examples=25,
@@ -71,12 +69,13 @@ ALL_PROFILES = (
 
 
 @contextmanager
-def _vec(enabled: bool):
-    previous = perf.set_vec_physics_enabled(enabled)
-    try:
+def _scalar_fio():
+    """Send every :meth:`FioTester.run` through its scalar issue loop:
+    the closed form declines, as it does for a degraded point."""
+    with mock.patch.object(
+        vecphys, "run_sequential_static", lambda tester, job, result: None
+    ):
         yield
-    finally:
-        perf.set_vec_physics_enabled(previous)
 
 
 class TestKernelParity:
@@ -284,16 +283,16 @@ class TestClosedFormFio:
 
     def _compare(self, vibration=None, modes=(IOMode.SEQ_WRITE, IOMode.SEQ_READ)):
         states = []
-        for enabled in (True, False):
-            with _vec(enabled):
-                drive, tester = _rig()
+        for scalar in (False, True):
+            drive, tester = _rig()
             if vibration is not None:
                 drive.set_vibration(vibration)
             run_states = []
-            for mode in modes:
-                job = FioJob(mode=mode, runtime_s=0.35, name="parity")
-                result = tester.run(job)
-                run_states.append((_result_state(result), _rig_state(drive)))
+            with _scalar_fio() if scalar else nullcontext():
+                for mode in modes:
+                    job = FioJob(mode=mode, runtime_s=0.35, name="parity")
+                    result = tester.run(job)
+                    run_states.append((_result_state(result), _rig_state(drive)))
             states.append(run_states)
         assert states[0] == states[1]
         return states[0]
@@ -304,8 +303,7 @@ class TestClosedFormFio:
 
     def test_degraded_point_falls_back_and_matches(self):
         degraded = VibrationInput(frequency_hz=650.0, displacement_m=3.4e-8)
-        with _vec(True):
-            drive, tester = _rig()
+        drive, tester = _rig()
         drive.set_vibration(degraded)
         job = FioJob(mode=IOMode.SEQ_WRITE, runtime_s=0.2, name="degraded")
         assert vecphys.run_sequential_static(tester, job, None) is None
@@ -319,8 +317,6 @@ class TestClosedFormFio:
         self._compare(modes=(IOMode.RAND_WRITE, IOMode.RAND_READ))
 
     def test_closed_form_makes_zero_rng_draws(self):
-        from unittest import mock
-
         from repro.rng import ReproRandom
 
         draws = {"n": 0}
@@ -330,8 +326,7 @@ class TestClosedFormFio:
             draws["n"] += 1
             return original(self, p)
 
-        with _vec(True):
-            drive, tester = _rig()
+        drive, tester = _rig()
         with mock.patch.object(ReproRandom, "chance", counting):
             result = tester.run(FioJob(mode=IOMode.SEQ_WRITE, runtime_s=0.3))
         assert result.completed_ops > 0
@@ -340,24 +335,26 @@ class TestClosedFormFio:
     def test_telemetry_session_disables_closed_form(self):
         from repro import obs
 
-        with _vec(True):
-            with obs.session():
-                drive, tester = _rig()
-                job = FioJob(mode=IOMode.SEQ_WRITE, runtime_s=0.1)
-                assert vecphys.run_sequential_static(tester, job, None) is None
-
-    def test_numpy_absence_degrades_to_scalar(self, monkeypatch):
-        monkeypatch.setattr(vecphys, "_np", None)
-        assert not vecphys.available()
-        with _vec(True):
+        with obs.session():
             drive, tester = _rig()
-        assert not tester._vec
-        result = tester.run(FioJob(mode=IOMode.SEQ_WRITE, runtime_s=0.1))
-        assert result.completed_ops > 0
+            job = FioJob(mode=IOMode.SEQ_WRITE, runtime_s=0.1)
+            assert vecphys.run_sequential_static(tester, job, None) is None
+
+
+def _scalar_offtrack_ratios(coupling, frequencies_hz, servo, op):
+    """Per-frequency scalar chain for the ablation tables' off-track rows."""
+    threshold = servo.threshold_m(op)
+    return [
+        servo.offtrack_amplitude_m(
+            coupling.vibration_at_drive(AttackConfig(f, ATTACK_LEVEL_DB, 0.01))
+        )
+        / threshold
+        for f in frequencies_hz
+    ]
 
 
 class TestExperimentParity:
-    """Whole-experiment byte identity with the flag on vs off."""
+    """Whole-experiment byte identity against the scalar references."""
 
     FREQS = [300.0, 650.0, 1000.0, 2500.0]
 
@@ -365,8 +362,8 @@ class TestExperimentParity:
         from repro.experiments.figure2 import run_figure2
 
         outputs = []
-        for enabled in (True, False):
-            with _vec(enabled):
+        for scalar in (False, True):
+            with _scalar_fio() if scalar else nullcontext():
                 figure = run_figure2(
                     frequencies_hz=self.FREQS, fio_runtime_s=0.25, seed=7
                 )
@@ -374,14 +371,18 @@ class TestExperimentParity:
         assert outputs[0] == outputs[1]
 
     def test_ablation_rows_identical(self):
+        from repro.experiments import ablations
         from repro.experiments.ablations import (
             run_drive_type_ablation,
             run_material_ablation,
         )
 
         tables = []
-        for enabled in (True, False):
-            with _vec(enabled):
+        for scalar in (False, True):
+            patch = mock.patch.object(
+                ablations, "_offtrack_ratios", _scalar_offtrack_ratios
+            )
+            with patch if scalar else nullcontext():
                 tables.append(
                     (
                         run_material_ablation().render(),
@@ -395,7 +396,6 @@ class TestExperimentParity:
 
         from tests.test_runtime import _square
 
-        with _vec(True):
-            pooled = SweepRunner(workers=2).map(_square, list(range(9)))
+        pooled = SweepRunner(workers=2).map(_square, list(range(9)))
         inline = [_square(n) for n in range(9)]
         assert pooled == inline
